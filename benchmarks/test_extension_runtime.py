@@ -69,7 +69,7 @@ def test_extension_runtime(save, benchmark):
     rf = parallel_factorize(a3, sf3, make_policy("P3"), make_worker_pool(2, 2),
                             backend="dynamic", faults=faults)
     assert rf.degraded
-    assert rf.runtime.degraded_sids == fail_sids
+    assert rf.runtime.degraded_set == fail_sids
     assert rf.factor is not None  # completed despite the failures
 
     s = dyn.stats

@@ -131,12 +131,18 @@ class Request:
         if not self.body:
             raise ApiError("invalid_request", "empty request body")
         try:
-            obj = json.loads(self.body)
+            obj = json.loads(self.body, parse_constant=_reject_non_finite)
         except ValueError as exc:
             raise ApiError("invalid_request", f"malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ApiError("invalid_request", "request body must be an object")
         return obj
+
+
+def _reject_non_finite(token: str) -> float:
+    """``json.loads`` hook for ``NaN``/``Infinity``: not JSON, and no
+    solve of a non-finite system means anything."""
+    raise ValueError(f"non-finite number {token} is not allowed")
 
 
 @dataclass
@@ -220,6 +226,8 @@ def decode_matrix(obj: object) -> CSCMatrix:
         raise ApiError(
             "invalid_request", f"matrix arrays are not numeric: {exc}"
         ) from exc
+    if not np.isfinite(data).all():
+        raise ApiError("invalid_request", "matrix.data must be finite")
     try:
         return CSCMatrix(
             (int(shape[0]), int(shape[1])), indptr, indices, data, check=True
@@ -282,6 +290,8 @@ def parse_solve_payload(obj: dict) -> SolvePayload:
         b = np.asarray(rhs, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ApiError("invalid_request", f"rhs is not numeric: {exc}") from exc
+    if not np.isfinite(b).all():
+        raise ApiError("invalid_request", "rhs must be finite")
     if b.ndim not in (1, 2) or b.shape[0] != a.n_rows:
         raise ApiError(
             "invalid_request",

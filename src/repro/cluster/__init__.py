@@ -26,15 +26,12 @@ system on top of the same simulation substrate:
   ``backend="serial"`` at any node count;
 * a **sharded serving fleet** (:mod:`fleet`) — pattern-affinity request
   routing across node-local :class:`~repro.service.SolverService`
-  shards with replica failover under injected node faults;
-* the legacy **pricing path** (:mod:`simulate`): one task graph for the
-  whole cluster on the shared engine set — same quantities, no event
-  loop, kept as an independent cross-check.
+  shards with replica failover under injected node faults.
 
-``simulate_cluster`` prices a whole factorization on a
-:class:`ClusterSpec` and reports makespan, per-rank utilization, and
-communication volume — the quantities a cluster-scaling study needs;
-``cluster_replay``/``cluster_factorize`` run the event-driven fleet.
+``cluster_replay`` prices a whole factorization on a :class:`ClusterSpec`
+(synthetic paper-scale workloads too) and reports the makespan,
+per-node utilization and communication volume — the quantities a
+cluster-scaling study needs; ``cluster_factorize`` adds the numerics.
 """
 
 from repro.cluster.fleet import ShardedSolverService, ShardRouter
@@ -50,13 +47,11 @@ from repro.cluster.runtime import (
     cluster_factorize,
     cluster_replay,
 )
-from repro.cluster.simulate import ClusterResult, simulate_cluster
 from repro.cluster.topology import ClusterSpec, InterconnectParams
 
 __all__ = [
     "ClusterSpec",
     "InterconnectParams",
-    "ClusterResult",
     "ClusterRunResult",
     "ClusterRuntime",
     "Interconnect",
@@ -65,7 +60,6 @@ __all__ = [
     "ShardedSolverService",
     "cluster_factorize",
     "cluster_replay",
-    "simulate_cluster",
     "map_subtrees_to_ranks",
     "subtree_flops",
     "update_message_bytes",

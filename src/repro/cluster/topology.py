@@ -6,8 +6,9 @@ full-crossbar interconnect priced per message as
 ``latency + bytes / bandwidth`` and serialized on the sender's NIC.
 
 :class:`ClusterSpec` is the single description every cluster entry
-point takes — the pricing-only :func:`repro.cluster.simulate.simulate_cluster`,
-the event-driven :class:`repro.cluster.runtime.ClusterRuntime`, and the
+point takes — the event-driven :class:`repro.cluster.runtime.ClusterRuntime`
+(timing-only :func:`~repro.cluster.runtime.cluster_replay`, numeric
+:func:`~repro.cluster.runtime.cluster_factorize`) and the
 ``backend="cluster"`` mode of
 :class:`repro.multifrontal.SparseCholeskySolver`.
 """

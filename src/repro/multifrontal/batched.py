@@ -33,7 +33,7 @@ __all__ = [
     "BatchParams",
     "BatchGroup",
     "batch_groups",
-    "resolve_batchable_groups",
+    "p1_batch_groups",
     "batched_trsm_right_lower",
     "batched_factor_update",
 ]
@@ -116,34 +116,21 @@ def batch_groups(sf: SymbolicFactor, params: BatchParams) -> list[BatchGroup]:
     ]
 
 
-def resolve_batchable_groups(
+def p1_batch_groups(
     sf: SymbolicFactor,
-    policy,
+    bases: list,
     params: BatchParams | None,
-    worker,
-) -> tuple[list[BatchGroup], dict[int, BatchGroup]]:
-    """Batch groups whose policy resolves to the host P1 path.
+) -> list[BatchGroup]:
+    """Batch groups whose members run the host P1 path.
 
-    Groups routed anywhere else (a device policy would change numerics
-    and precision) stay on the per-front path.  Returns the kept groups
-    and a supernode-id -> group map.
+    ``bases`` holds each supernode's base policy (members of a group
+    share a shape, hence a base).  Groups routed anywhere else (a device
+    policy would change numerics and precision) stay on the per-front
+    path.
     """
-    if params is None or not params.enabled:
-        return [], {}
-    groups = []
-    batch_of: dict[int, BatchGroup] = {}
-    for g in batch_groups(sf, params):
-        base = (
-            policy.resolve(g.m, g.k, worker)
-            if hasattr(policy, "resolve")
-            else policy
-        )
-        if base.name != "P1":
-            continue
-        groups.append(g)
-        for sid in g.sids:
-            batch_of[sid] = g
-    return groups, batch_of
+    if params is None:
+        return []
+    return [g for g in batch_groups(sf, params) if bases[g.sids[0]].name == "P1"]
 
 
 def batched_trsm_right_lower(x: np.ndarray, l: np.ndarray) -> np.ndarray:

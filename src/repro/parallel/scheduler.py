@@ -20,19 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpu.device import SimulatedNode
 from repro.matrices.csc import CSCMatrix
-from repro.multifrontal.batched import (
-    BatchParams,
-    batched_factor_update,
-    resolve_batchable_groups,
+from repro.multifrontal.batched import BatchGroup, BatchParams, p1_batch_groups
+from repro.multifrontal.frontal import assembly_bytes
+from repro.multifrontal.numeric import (
+    NumericFactor,
+    resolve_policies,
+    scheduled_factorize,
 )
-from repro.multifrontal.frontal import (
-    assemble_front_planned,
-    assembly_bytes,
-    get_assembly_plan,
-)
-from repro.multifrontal.numeric import FURecord, NumericFactor
 from repro.parallel.workers import WorkerPool
 from repro.policies.base import Policy, PolicyP1, Worker, estimate_policy_time
 from repro.symbolic.symbolic import SymbolicFactor, factor_update_flops
@@ -42,7 +37,6 @@ __all__ = [
     "ParallelResult",
     "list_schedule",
     "parallel_factorize",
-    "postorder_numeric_factor",
 ]
 
 
@@ -92,48 +86,30 @@ class ParallelResult:
         return float(np.mean(self.worker_busy) / self.makespan)
 
 
-def _task_durations(
-    sf: SymbolicFactor,
-    policy: Policy,
-    pool: WorkerPool,
-) -> tuple[np.ndarray, list[str]]:
-    """Per-supernode durations (assembly + F-U) and resolved policy names.
-
-    Durations are isolated per-call makespans from the performance model;
-    a worker without a GPU falls back to P1 — handled at placement time
-    by pricing both variants.
-    """
-    model = pool.node.model
-    n_super = sf.n_supernodes
-    dur = np.zeros(n_super)
-    names: list[str] = []
+def _numeric_worker(pool: WorkerPool) -> Worker:
+    """The worker policies are resolved against and numerics run on: the
+    first GPU worker, else the first worker."""
     gpu_worker = pool.gpu_worker()
-    probe_worker = gpu_worker if gpu_worker is not None else pool.workers[0]
+    return gpu_worker if gpu_worker is not None else pool.workers[0]
+
+
+def _task_durations(
+    sf: SymbolicFactor, bases: list[Policy], model
+) -> np.ndarray:
+    """Per-supernode durations: assembly plus the isolated F-U makespan of
+    the supernode's base policy from the performance model."""
+    dur = np.zeros(sf.n_supernodes)
     kids = sf.schildren()
-    dur_cache: dict[tuple[int, int], tuple[float, str]] = {}
-    for s in range(n_super):
-        k = sf.width(s)
-        m = sf.update_size(s)
-        key = (m, k)
-        hit = dur_cache.get(key)
-        if hit is None:
-            base = (
-                policy.resolve(m, k, probe_worker)
-                if hasattr(policy, "resolve")
-                else policy
-            )
-            t_fu = estimate_policy_time(base, m, k, model)
-            hit = (t_fu, base.name)
-            dur_cache[key] = hit
-        t_fu, name = hit
+    fu_cache: dict[tuple[int, int], float] = {}
+    for s in range(sf.n_supernodes):
+        key = (sf.update_size(s), sf.width(s))
+        if key not in fu_cache:
+            fu_cache[key] = estimate_policy_time(bases[s], *key, model)
         t_asm = model.host_memory_time(
-            assembly_bytes(
-                sf.rows[s].size, [sf.rows[c].size - sf.width(c) for c in kids[s]]
-            )
+            assembly_bytes(sf.rows[s].size, [sf.update_size(c) for c in kids[s]])
         )
-        dur[s] = t_fu + t_asm
-        names.append(name)
-    return dur, names
+        dur[s] = fu_cache[key] + t_asm
+    return dur
 
 
 def list_schedule(
@@ -153,12 +129,26 @@ def list_schedule(
     is placed as *one* task (members share its start/end), cutting the
     number of dispatched tasks without changing precedence.
     """
+    bases = resolve_policies(sf, policy, _numeric_worker(pool))
+    return _list_schedule(
+        sf, bases, p1_batch_groups(sf, bases, batching), pool,
+        gang_threshold, gang_efficiency,
+    )
+
+
+def _list_schedule(
+    sf: SymbolicFactor,
+    bases: list[Policy],
+    groups: list[BatchGroup],
+    pool: WorkerPool,
+    gang_threshold: float,
+    gang_efficiency: float,
+) -> ParallelResult:
     n_super = sf.n_supernodes
     p = pool.n_workers
-    dur, names = _task_durations(sf, policy, pool)
-    gpu_worker = pool.gpu_worker()
-    probe_worker = gpu_worker if gpu_worker is not None else pool.workers[0]
-    groups, batch_of = resolve_batchable_groups(sf, policy, batching, probe_worker)
+    dur = _task_durations(sf, bases, pool.node.model)
+    names = [b.name for b in bases]
+    batched = {sid for g in groups for sid in g.sids}
 
     # upward rank: seconds from this task to the root, inclusive
     rank = dur.copy()
@@ -202,7 +192,7 @@ def list_schedule(
     ready = [
         (-float(rank[s]), s)
         for s in range(n_super)
-        if n_pending[s] == 0 and s not in batch_of
+        if n_pending[s] == 0 and s not in batched
     ]
     heapq.heapify(ready)
     while ready:
@@ -280,26 +270,29 @@ def parallel_factorize(
     runtime keeps its per-front schedule (dispatch-time policy selection
     and stealing operate per task) but still runs the stacked numerics.
     """
-    runtime = None
-    degraded_sids: frozenset = frozenset()
-    if backend == "static":
-        if memory_budget is not None or faults is not None:
-            raise ValueError(
-                "memory_budget/faults require backend='dynamic' "
-                "(the static scheduler binds tasks up front)"
-            )
-        result = list_schedule(
-            sf, policy, pool,
-            gang_threshold=gang_threshold, gang_efficiency=gang_efficiency,
-            batching=batching,
+    if backend not in ("static", "dynamic"):
+        raise ValueError(f"unknown backend {backend!r} (static | dynamic)")
+    if backend == "static" and (memory_budget is not None or faults is not None):
+        raise ValueError(
+            "memory_budget/faults require backend='dynamic' "
+            "(the static scheduler binds tasks up front)"
         )
-    elif backend == "dynamic":
+    worker = _numeric_worker(pool)
+    bases = resolve_policies(sf, policy, worker)
+    groups = p1_batch_groups(sf, bases, batching)
+    if backend == "static":
+        result = _list_schedule(
+            sf, bases, groups, pool, gang_threshold, gang_efficiency
+        )
+    else:
         from repro.runtime.engine import dynamic_schedule
 
         runtime = dynamic_schedule(
             sf, policy, pool, memory_budget=memory_budget, faults=faults,
         )
-        degraded_sids = runtime.degraded_sids
+        # a degraded task ran the host P1 path, and so do its numerics
+        for s in runtime.degraded_set:
+            bases[s] = PolicyP1()
         result = ParallelResult(
             runtime.makespan, list(runtime.schedule),
             worker_busy=list(runtime.worker_busy), runtime=runtime,
@@ -308,119 +301,8 @@ def parallel_factorize(
             # numerics below run stacked
             task_dispatches=len(runtime.schedule),
         )
-    else:
-        raise ValueError(f"unknown backend {backend!r} (static | dynamic)")
-
-    gpu_worker = pool.gpu_worker()
-    numeric_worker = gpu_worker if gpu_worker is not None else pool.workers[0]
-    result.factor = postorder_numeric_factor(
-        a, sf, policy, numeric_worker, pool.node,
-        {t.sid: t for t in result.schedule},
-        makespan=result.makespan, degraded_sids=degraded_sids,
-        batching=batching,
+    result.factor = scheduled_factorize(
+        a, sf, bases, worker, pool.node, result.schedule,
+        makespan=result.makespan, groups=groups,
     )
-    if result.task_dispatches is None:
-        result.task_dispatches = result.factor.task_dispatches
     return result
-
-
-def postorder_numeric_factor(
-    a: CSCMatrix,
-    sf: SymbolicFactor,
-    policy: Policy,
-    numeric_worker: Worker,
-    node: SimulatedNode,
-    by_sid: dict[int, ScheduledTask],
-    *,
-    makespan: float,
-    degraded_sids: frozenset = frozenset(),
-    batching: BatchParams | None = None,
-) -> NumericFactor:
-    """Numeric factorization in canonical postorder against one worker.
-
-    This is what makes every backend — serial, static, dynamic, and the
-    cluster loop — bit-identical: whatever schedule produced the times
-    in ``by_sid``, the panels are computed in ``sf.spost`` order with
-    the policy resolved once per ``(m, k)`` against ``numeric_worker``.
-    Tasks in ``degraded_sids`` run the host P1 path, exactly as their
-    simulated execution did.
-    """
-    fallback = PolicyP1()
-    a_perm = a.permute_symmetric(sf.perm)
-    a_lower = a_perm.lower_triangle()
-    kids = sf.schildren()
-    panels: list[np.ndarray | None] = [None] * sf.n_supernodes
-    updates: dict[int, np.ndarray] = {}
-    records: list[FURecord] = []
-    plan = get_assembly_plan(a_lower, sf)
-    # stacked numerics for batched groups (host P1 leaves): bit-identical
-    # per slice to the per-front path, so this never changes the factor.
-    # Degraded members run P1 either way, hence they can stay batched.
-    groups, batch_of = resolve_batchable_groups(
-        sf, policy, batching, numeric_worker
-    )
-    batch_results: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-
-    def run_batch(g) -> None:
-        stack = np.empty((len(g), g.size, g.size), dtype=np.float64)
-        for i, sid in enumerate(g.sids):
-            stack[i] = assemble_front_planned(plan, a_lower.data, g.size, sid, [])
-        batched_factor_update(stack, g.k, g.sids)
-        for i, sid in enumerate(g.sids):
-            u = stack[i, g.k:, g.k:].copy() if g.m > 0 else None
-            batch_results[sid] = (stack[i, :, :g.k].copy(), u)
-
-    for s in sf.spost:
-        s = int(s)
-        if s in batch_of:
-            g = batch_of[s]
-            if s not in batch_results:
-                run_batch(g)
-            panel, u = batch_results.pop(s)
-            panels[s] = panel
-            if u is not None:
-                updates[s] = u
-            t = by_sid[s]
-            records.append(
-                FURecord(
-                    sid=s, m=g.m, k=g.k, policy=t.policy,
-                    start=t.start, end=t.end,
-                    components={}, flops=factor_update_flops(g.m, g.k),
-                )
-            )
-            continue
-        rows = sf.rows[s]
-        k = sf.width(s)
-        m = rows.size - k
-        child_updates = [(c, updates.pop(c)) for c in kids[s] if c in updates]
-        front = assemble_front_planned(
-            plan, a_lower.data, rows.size, s, child_updates
-        )
-        if s in degraded_sids:
-            base = fallback
-        else:
-            base = (
-                policy.resolve(m, k, numeric_worker)
-                if hasattr(policy, "resolve")
-                else policy
-            )
-        l1, l2, u = base.apply(front, k, numeric_worker)
-        panels[s] = front[:, :k].copy()
-        if m > 0:
-            updates[s] = front[k:, k:].copy()
-        t = by_sid[s]
-        records.append(
-            FURecord(
-                sid=s, m=m, k=k, policy=t.policy, start=t.start, end=t.end,
-                components={}, flops=factor_update_flops(m, k),
-            )
-        )
-    return NumericFactor(
-        sf=sf,
-        panels=[pnl for pnl in panels],  # type: ignore[misc]
-        records=records,
-        makespan=makespan,
-        node=node,
-        batch_tasks=len(groups),
-        batched_fronts=sum(len(g) for g in groups),
-    )

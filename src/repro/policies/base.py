@@ -11,10 +11,12 @@ Every policy separates *planning* from *numerics*:
   in float32 through the simulated CUBLAS context (so GPU-touched results
   really carry single-precision error, as the paper's did).
 
-``execute`` runs both and returns the factored blocks plus the scheduled
-tasks; the numeric driver in :mod:`repro.multifrontal` threads engine
-timelines through successive calls so copies and kernels of neighboring
-supernodes contend realistically.
+The drivers in :mod:`repro.multifrontal` price every call of a
+factorization first, threading engine timelines through successive
+plans so copies and kernels of neighboring supernodes contend
+realistically, and then run the numerics.  A device policy asked to
+plan, or to apply device kernels, on a worker without a GPU raises
+``ValueError``.
 
 Transfer-volume accounting follows the paper's Equation 2:
 ``N_D(L1, L2) = k^2 + 2mk`` words for the trsm round trip and
@@ -38,7 +40,6 @@ from repro.gpu.perfmodel import PerfModel
 __all__ = [
     "Worker",
     "FUPlan",
-    "FUExecution",
     "Policy",
     "PolicyP1",
     "PolicyP2",
@@ -79,22 +80,6 @@ class FUPlan:
         return self.graph.total_by_category()
 
 
-@dataclass
-class FUExecution:
-    """Result of executing one F-U call under a policy."""
-
-    l1: np.ndarray
-    l2: np.ndarray
-    u: np.ndarray
-    plan: FUPlan
-    start: float
-    end: float
-
-    @property
-    def elapsed(self) -> float:
-        return self.end - self.start
-
-
 class Policy:
     """Base class; concrete policies implement ``plan`` and ``apply``."""
 
@@ -120,30 +105,18 @@ class Policy:
         """Factor ``front`` in place; returns views/arrays (L1, L2, U)."""
         raise NotImplementedError
 
-    # -- combined ---------------------------------------------------------
-    def execute(
-        self,
-        front: np.ndarray,
-        k: int,
-        worker: Worker,
-        node: SimulatedNode,
-        deps: tuple = (),
-    ) -> FUExecution:
-        if self.needs_gpu and not worker.has_gpu:
-            raise ValueError(f"policy {self.name} requires a GPU worker")
-        m = front.shape[0] - k
-        graph = TaskGraph()
-        plan = self.plan(m, k, worker, node.model, graph, deps)
-        result = schedule_graph(graph, engines=node.engines)
-        l1, l2, u = self.apply(front, k, worker)
-        start = min(t.start for t in graph.tasks)
-        return FUExecution(l1, l2, u, plan, start, plan.final.end)
-
     def applicable(self, worker: Worker) -> bool:
         return worker.has_gpu or not self.needs_gpu
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Policy {self.name}>"
+
+
+def _gpu(policy: Policy, worker: Worker) -> SimulatedGpu:
+    """The worker's GPU; a device policy cannot run without one."""
+    if worker.gpu is None:
+        raise ValueError(f"policy {policy.name} requires a GPU worker")
+    return worker.gpu
 
 
 def _host_apply_time(model: PerfModel, m: int) -> float:
@@ -203,7 +176,7 @@ class PolicyP2(Policy):
     name = "P2"
 
     def plan(self, m, k, worker, model, graph, deps=()):
-        gpu = worker.gpu
+        gpu = _gpu(self, worker)
         word = model.gpu_word
         t_potrf = graph.add(
             "potrf", worker.cpu_engine,
@@ -252,7 +225,7 @@ class PolicyP2(Policy):
         u = front[k:, k:]
         if m > 0:
             l2[...] = hk.trsm_right_lower(l2, l1)
-            ctx = worker.gpu.cublas
+            ctx = _gpu(self, worker).cublas
             x_dev = l2.astype(ctx.dtype)              # H2D
             w = ctx.syrk_outer(x_dev)                 # device compute
             u -= w.astype(np.float64)                 # D2H + host apply
@@ -280,7 +253,7 @@ class PolicyP3(Policy):
             self.name = "P3basic"
 
     def plan(self, m, k, worker, model, graph, deps=()):
-        gpu = worker.gpu
+        gpu = _gpu(self, worker)
         word = model.gpu_word
         pinned = self.pinned
         with gpu.working_set(
@@ -344,7 +317,7 @@ class PolicyP3(Policy):
         l2 = front[k:, :k]
         u = front[k:, k:]
         if m > 0:
-            ctx = worker.gpu.cublas
+            ctx = _gpu(self, worker).cublas
             l1_dev = l1.astype(ctx.dtype)             # H2D
             l2_dev = l2.astype(ctx.dtype)             # H2D
             x_dev = ctx.trsm(l2_dev, l1_dev)          # device trsm
@@ -377,7 +350,7 @@ class PolicyP4(Policy):
         return self.panel_width if self.panel_width else default_panel_width(k)
 
     def plan(self, m, k, worker, model, graph, deps=()):
-        gpu = worker.gpu
+        gpu = _gpu(self, worker)
         word = model.gpu_word
         s = m + k
         with gpu.working_set(s * s * word, s * s * word) as alloc:
@@ -449,7 +422,7 @@ class PolicyP4(Policy):
         return FUPlan(graph, t_done, roles)
 
     def apply(self, front, k, worker):
-        ctx = worker.gpu.cublas
+        ctx = _gpu(self, worker).cublas
         f_dev = front.astype(ctx.dtype)               # H2D of the whole front
         blocked_cholesky_panels(f_dev, k, self._width(k), ctx)
         front[...] = f_dev.astype(np.float64)         # D2H

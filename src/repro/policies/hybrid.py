@@ -1,9 +1,10 @@
 """Hybrid policies: per-call selection among P1..P4 (paper Section VI).
 
 A hybrid is a *selector*: ``resolve(m, k, worker)`` returns the base
-policy to run for a factor-update of those dimensions.  The numeric
-driver resolves before executing, so instrumentation records the base
-policy actually used for every call.
+policy to run for a factor-update of those dimensions.  Hybrids are
+never planned or applied themselves: every driver resolves them to base
+policies before pricing, so instrumentation records the base policy
+actually used for every call.
 
 * :class:`BaselineHybrid` (P_BH) — thresholds on the total operation
   count, using the transition points read off Figures 10/11: P1 below
@@ -58,14 +59,6 @@ class HybridPolicy(Policy):
             pol = self._fallback
         self.selection_counts[pol.name] = self.selection_counts.get(pol.name, 0) + 1
         return pol
-
-    # hybrids are never planned/applied directly
-    def plan(self, m, k, worker, model, graph, deps=()):
-        return self.resolve(m, k, worker).plan(m, k, worker, model, graph, deps)
-
-    def apply(self, front, k, worker):
-        m = front.shape[0] - k
-        return self.resolve(m, k, worker).apply(front, k, worker)
 
 
 class BaselineHybrid(HybridPolicy):

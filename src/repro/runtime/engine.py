@@ -198,13 +198,13 @@ class RuntimeResult:
     worker_busy: list[float]
     stats: RuntimeStats
     spans: list[SimTask] = field(default_factory=list)
-    degraded_sids: frozenset = frozenset()
+    degraded_set: frozenset = frozenset()
     memory_budget: int | None = None
 
     @property
     def degraded(self) -> bool:
         """True when any task fell back to P1 after injected failures."""
-        return bool(self.degraded_sids)
+        return bool(self.degraded_set)
 
     def utilization(self) -> float:
         if not self.worker_busy or self.makespan <= 0:
@@ -429,7 +429,7 @@ class DynamicRuntime:
             worker_busy=self._busy,
             stats=self.stats,
             spans=self._spans,
-            degraded_sids=frozenset(self._degraded),
+            degraded_set=frozenset(self._degraded),
             memory_budget=self.memory_budget,
         )
 

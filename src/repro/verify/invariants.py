@@ -356,7 +356,7 @@ def check_degraded_still_solves(
         solver.symbolic.update_size(s) > 0
         for s in range(solver.symbolic.n_supernodes)
     )
-    if had_gpu_work and runtime is not None and not runtime.degraded_sids:
+    if had_gpu_work and runtime is not None and not runtime.degraded_set:
         # the policy may legitimately place every call on the CPU for
         # tiny fronts; only flag when device work was actually planned
         planned_device = any(

@@ -35,6 +35,7 @@ from repro.api import (
     encode_matrix,
     error_response,
 )
+from repro.api.app import parse_solve_payload
 from repro.api.loadgen import run_load
 from repro.matrices import grid_laplacian_2d
 from repro.service import ServiceMetrics, SolverService
@@ -350,6 +351,30 @@ class TestApp:
             err = r.json()["error"]
             assert err["code"] == "invalid_request"
             assert "Traceback" not in err["message"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["matrix", "rhs"])
+    def test_non_finite_bodies_are_rejected(self, service, value, field):
+        # json.dumps writes NaN / Infinity tokens: the edge must refuse
+        # them before a solve (and a cached non-finite factor) happens
+        matrix = dict(DOC_SMALL)
+        rhs = list(RHS_SMALL)
+        if field == "matrix":
+            matrix["data"] = [value] + DOC_SMALL["data"][1:]
+        else:
+            rhs[0] = value
+        body = json.dumps({"matrix": matrix, "rhs": rhs}).encode()
+        with make_app(service) as app:
+            r = InProcessClient(app).post("/v1/solve", api_key="ka", body=body)
+            assert r.status == 400
+            assert r.json()["error"]["code"] == "invalid_request"
+        # decoded payloads that never went through json are checked too
+        with pytest.raises(ApiError, match="finite") as exc:
+            if field == "matrix":
+                decode_matrix(matrix)
+            else:
+                parse_solve_payload({"matrix": DOC_SMALL, "rhs": rhs})
+        assert exc.value.code == "invalid_request"
 
     def test_rate_limited_envelope_carries_retry_after(self, service):
         with make_app(service, rate=10.0, burst=2) as app:

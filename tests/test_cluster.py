@@ -13,7 +13,6 @@ from repro.cluster import (
     cluster_factorize,
     cluster_replay,
     map_subtrees_to_ranks,
-    simulate_cluster,
     subtree_flops,
     update_message_bytes,
 )
@@ -102,7 +101,7 @@ class TestSimulation:
         from repro.gpu import SimulatedNode
         from repro.multifrontal.numeric import replay_factorize
 
-        res = simulate_cluster(
+        res = cluster_replay(
             sf, make_policy("P1"), ClusterSpec(1, 0, model=model)
         )
         rp = replay_factorize(
@@ -113,10 +112,10 @@ class TestSimulation:
         assert res.comm_messages == 0
 
     def test_two_ranks_faster_with_comm_accounted(self, wl, model):
-        serial = simulate_cluster(
+        serial = cluster_replay(
             wl, make_policy("P1"), ClusterSpec(1, 0, model=model)
         )
-        dist = simulate_cluster(
+        dist = cluster_replay(
             wl, make_policy("P1"), ClusterSpec(2, 0, model=model)
         )
         assert dist.makespan < serial.makespan
@@ -126,7 +125,7 @@ class TestSimulation:
 
     def test_scaling_monotone(self, wl, model):
         times = [
-            simulate_cluster(
+            cluster_replay(
                 wl, make_policy("P1"), ClusterSpec(r, 0, model=model)
             ).makespan
             for r in (1, 2, 4)
@@ -135,21 +134,21 @@ class TestSimulation:
         assert times[2] < times[1]
 
     def test_gpus_accelerate_ranks(self, wl, model):
-        cpu_only = simulate_cluster(
+        cpu_only = cluster_replay(
             wl, make_policy("P1"), ClusterSpec(2, 0, model=model)
         )
-        hybrid = simulate_cluster(
+        hybrid = cluster_replay(
             wl, BaselineHybrid(), ClusterSpec(2, 1, model=model)
         )
         assert hybrid.makespan < cpu_only.makespan
 
     def test_slow_network_hurts(self, wl, model):
-        fast = simulate_cluster(
+        fast = cluster_replay(
             wl, make_policy("P1"),
             ClusterSpec(4, 0, model=model,
                         interconnect=InterconnectParams(bandwidth=10e9)),
         )
-        slow = simulate_cluster(
+        slow = cluster_replay(
             wl, make_policy("P1"),
             ClusterSpec(4, 0, model=model,
                         interconnect=InterconnectParams(bandwidth=5e7)),
@@ -158,18 +157,18 @@ class TestSimulation:
 
     def test_custom_owner_accepted_and_validated(self, sf, model):
         owner = np.zeros(sf.n_supernodes, dtype=np.int64)
-        res = simulate_cluster(
+        res = cluster_replay(
             sf, make_policy("P1"), ClusterSpec(2, 0, model=model), owner=owner
         )
         assert res.comm_messages == 0
         with pytest.raises(ValueError):
-            simulate_cluster(
+            cluster_replay(
                 sf, make_policy("P1"), ClusterSpec(2, 0, model=model),
                 owner=np.full(sf.n_supernodes, 5),
             )
 
     def test_utilization_bounded(self, wl, model):
-        res = simulate_cluster(
+        res = cluster_replay(
             wl, make_policy("P1"), ClusterSpec(4, 0, model=model)
         )
         assert 0.0 < res.utilization() <= 1.05

@@ -36,6 +36,15 @@ class TestNonSPD:
         with pytest.raises(NotPositiveDefiniteError, match="original column"):
             factorize_numeric(a, sf, make_policy("P1"))
 
+    @pytest.mark.parametrize("backend", ["serial", "static", "dynamic", "cluster"])
+    def test_every_backend_names_the_failing_column(self, backend):
+        a = indefinite_matrix()
+        s = SparseCholeskySolver(a, ordering="amd", policy="P1", backend=backend)
+        with pytest.raises(
+            NotPositiveDefiniteError, match="supernode .* original column"
+        ):
+            s.factorize()
+
     def test_solver_propagates(self):
         a = indefinite_matrix()
         s = SparseCholeskySolver(a, ordering="amd", policy="P1")

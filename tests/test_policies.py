@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import SimulatedNode, tesla_t10_model
-from repro.gpu.clock import TaskGraph
+from repro.gpu.clock import TaskGraph, schedule_graph
 from repro.policies import (
     BaselineHybrid,
     IdealHybrid,
@@ -42,46 +42,52 @@ class TestNumerics:
     def test_factor_update_matches_reference(self, name, atol, node, worker, rng):
         f = front(40, rng)
         ref_l1, ref_l2, ref_u = reference_blocks(f, 12)
-        pol = make_policy(name)
-        res = pol.execute(f.copy(), 12, worker, node)
-        assert np.allclose(np.tril(res.l1), ref_l1, atol=atol)
-        assert np.allclose(res.l2, ref_l2, atol=atol)
-        assert np.allclose(res.u, ref_u, atol=atol)
+        l1, l2, u = make_policy(name).apply(f.copy(), 12, worker)
+        assert np.allclose(np.tril(l1), ref_l1, atol=atol)
+        assert np.allclose(l2, ref_l2, atol=atol)
+        assert np.allclose(u, ref_u, atol=atol)
 
     def test_p1_is_exact_float64(self, node, worker, rng):
         f = front(30, rng)
         ref = reference_blocks(f, 10)
-        res = make_policy("P1").execute(f.copy(), 10, worker, node)
-        assert np.allclose(res.l2, ref[1], atol=1e-12)
+        _, l2, _ = make_policy("P1").apply(f.copy(), 10, worker)
+        assert np.allclose(l2, ref[1], atol=1e-12)
 
     def test_gpu_policies_show_fp32_error(self, node, worker, rng):
         # the paper's single-precision offload must actually lose precision
         f = front(60, rng)
         ref = reference_blocks(f, 20)
-        res = make_policy("P3").execute(f.copy(), 20, worker, node)
-        err = np.abs(res.l2 - ref[1]).max()
+        _, l2, _ = make_policy("P3").apply(f.copy(), 20, worker)
+        err = np.abs(l2 - ref[1]).max()
         assert 1e-12 < err < 1e-1
 
     def test_m_zero_root_call(self, node, worker, rng):
         # the root special case the paper highlights (Section IV-D)
         f = front(25, rng)
         for name in ("P1", "P2", "P3", "P4"):
-            res = make_policy(name).execute(f.copy(), 25, worker, node)
-            assert res.u.size == 0
+            l1, _, u = make_policy(name).apply(f.copy(), 25, worker)
+            assert u.size == 0
             assert np.allclose(
-                res.l1 @ res.l1.T, f, atol=1e-2 if name != "P1" else 1e-9
+                l1 @ l1.T, f, atol=1e-2 if name != "P1" else 1e-9
             )
 
     def test_gpu_policy_requires_gpu_worker(self, node, rng):
         cpu_only = Worker("cpu0", None)
-        with pytest.raises(ValueError):
-            make_policy("P3").execute(front(10, rng), 5, cpu_only, node)
+        for name in ("P2", "P3", "P4"):
+            with pytest.raises(ValueError, match="requires a GPU worker"):
+                make_policy(name).plan(5, 5, cpu_only, node.model, TaskGraph())
+            with pytest.raises(ValueError, match="requires a GPU worker"):
+                make_policy(name).apply(front(10, rng), 5, cpu_only)
 
     def test_p1_runs_without_gpu(self, rng):
         node = SimulatedNode(n_cpus=1, n_gpus=0)
         w = Worker("cpu0", None)
-        res = make_policy("P1").execute(front(10, rng), 5, w, node)
-        assert res.elapsed > 0
+        g = TaskGraph()
+        plan = make_policy("P1").plan(5, 5, w, node.model, g)
+        schedule_graph(g, engines=node.engines)
+        assert plan.final.end > 0
+        l1, _, _ = make_policy("P1").apply(front(10, rng), 5, w)
+        assert np.all(np.diag(l1) > 0)
 
 
 class TestPlans:

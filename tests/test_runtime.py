@@ -177,7 +177,7 @@ class TestFaults:
         res = dynamic_schedule(sf, make_policy("P3"), make_worker_pool(2, 2),
                                faults=inj)
         assert res.degraded
-        assert res.degraded_sids == fail
+        assert res.degraded_set == fail
         assert res.stats.degraded_tasks == len(fail)
         assert res.stats.kernel_retries >= len(fail)
         assert len(res.schedule) == sf.n_supernodes
@@ -204,7 +204,7 @@ class TestFaults:
             )
             for _ in range(2)
         ]
-        assert runs[0].degraded_sids == runs[1].degraded_sids
+        assert runs[0].degraded_set == runs[1].degraded_set
         assert runs[0].makespan == runs[1].makespan
 
     def test_cpu_policy_never_faults(self, problem):

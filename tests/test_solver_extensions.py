@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import SparseCholeskySolver, grid_laplacian_2d, random_spd
+from repro.matrices import grid_laplacian_3d
 from repro.autotune import (
     PolicyClassifier,
     collect_timing_dataset,
@@ -15,7 +16,7 @@ from repro.gpu import SimulatedNode, tesla_t10_model
 from repro.gpu.spec import GpuSpec, TESLA_T10
 from repro.multifrontal import factorize_numeric, solve_factored
 from repro.multifrontal.numeric import replay_factorize
-from repro.policies import make_policy
+from repro.policies import BaselineHybrid, make_policy
 from repro.symbolic import symbolic_factorize
 from dataclasses import replace
 
@@ -98,11 +99,11 @@ class TestLogDet:
         )
 
 
-def tiny_memory_node():
+def tiny_memory_node(memory_bytes=2048):
     """A node whose GPU has almost no memory: every offload must fail."""
     model = tesla_t10_model()
     node = SimulatedNode(model=model, n_cpus=1, n_gpus=1)
-    small_spec = replace(TESLA_T10, memory_bytes=2048)
+    small_spec = replace(TESLA_T10, memory_bytes=memory_bytes)
     from repro.gpu.device import SimulatedGpu
 
     node.gpus[0] = SimulatedGpu(model, 0, spec=small_spec)
@@ -132,10 +133,51 @@ class TestDeviceMemoryFallback:
         big = [r for r in rp.records if self._needs_fallback(r)]
         assert big and all(r.policy == "P1" for r in big)
 
+    def test_numerics_follow_the_priced_fallback(self, lap2d_small):
+        # 8 bytes hold no front with an update block: every such call is
+        # priced on the host, so its numerics must run there too (float64
+        # P1, not float32 P3)
+        sf = symbolic_factorize(lap2d_small, ordering="amd")
+        p3 = factorize_numeric(
+            lap2d_small, sf, make_policy("P3"), node=tiny_memory_node(8)
+        )
+        p1 = factorize_numeric(lap2d_small, sf, make_policy("P1"))
+        assert all(r.policy == "P1" for r in p3.records if r.m > 0)
+        assert len(p3.panels) == len(p1.panels)
+        for x, y in zip(p3.panels, p1.panels):
+            assert np.array_equal(x, y)
+
     def test_fits_when_memory_sufficient(self, lap2d_small):
         sf = symbolic_factorize(lap2d_small, ordering="amd")
         nf = factorize_numeric(lap2d_small, sf, make_policy("P3"))
         assert any(r.policy == "P3" for r in nf.records)
+
+
+class TestPriceThenCompute:
+    @pytest.mark.parametrize("policy", ["P1", "P2", "P3", "P4", "basic", "PBH"])
+    def test_replay_records_equal_numeric_records(self, policy):
+        a = grid_laplacian_3d(14, 14, 14)
+        sf = symbolic_factorize(a, ordering="nd")
+        pol = BaselineHybrid() if policy == "PBH" else make_policy(policy)
+        nf = factorize_numeric(a, sf, pol)
+        rp = replay_factorize(sf, pol)
+        if policy == "PBH":
+            assert len({r.policy for r in nf.records}) > 1
+        assert len(rp.records) == len(nf.records)
+        for r_replay, r_numeric in zip(rp.records, nf.records):
+            assert r_replay == r_numeric
+        assert rp.makespan == nf.makespan
+        assert rp.assembly_seconds == nf.assembly_seconds
+
+    def test_peak_update_bytes_equal_across_backends(self):
+        a = grid_laplacian_2d(20, 20)
+        peaks = {
+            backend: SparseCholeskySolver(a, policy="P1", backend=backend)
+            .factorize().stats.peak_update_bytes
+            for backend in ("serial", "static", "dynamic", "cluster")
+        }
+        assert peaks["serial"] > 0
+        assert len(set(peaks.values())) == 1, peaks
 
 
 class TestClassifierPersistence:
